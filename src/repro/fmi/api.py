@@ -84,24 +84,11 @@ class FmiContext(ParallelApi):
         if plane is not None and (
             source == self.ANY_SOURCE or tag == self.ANY_TAG
         ):
-            if plane.kind == "replicated":
-                # Replica consistency: followers replay the lead's
-                # recorded match order (parking until it is recorded);
-                # the lead posts natively and the sink records.
-                self._check_ok()
-                evt = plane.post_wildcard(self, source, tag, comm.id)
-                if evt is not None:
-                    return evt
-                return super()._post_recv(comm, source, tag)
-            # Piecewise-deterministic replay: a re-executed wildcard
-            # receive is rewritten to the *exact* (source, tag) its
-            # original execution matched, in recorded order, until the
-            # determinant cursor reaches the failure point.
-            det = plane.next_determinant(self.world_rank, source, tag, comm.id)
-            if det is not None:
-                self._check_ok()
-                evt = self.ctx.matching.post(det.env_src, det.env_tag, comm.id)
-                plane.check_replayed_match(evt, det, self.world_rank)
+            # Wildcards replay recorded determinants: a restarted rank
+            # its own pre-failure match order (logged), a follower copy
+            # its lead's (replicated).  None means post natively.
+            evt = plane.post_wildcard(self, source, tag, comm.id)
+            if evt is not None:
                 return evt
         return super()._post_recv(comm, source, tag)
 

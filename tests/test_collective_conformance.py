@@ -334,9 +334,9 @@ def test_hop_fidelity_reason_priority_and_coverage():
     machine.node(1).set_limp()  # heal
     assert tr.hop_fidelity_reason() is None
 
-    tr.recovery_filter = lambda env: True
+    tr.set_delivery_hook(lambda ctx, env: True, "msglog")
     assert tr.hop_fidelity_reason() == "msglog"
-    tr.recovery_filter = None
+    tr.set_delivery_hook(None)
 
     Tracer(sim)
     assert tr.hop_fidelity_reason() == "observability"
@@ -362,7 +362,7 @@ def test_auto_falls_back_when_blocked():
 
 def test_auto_falls_back_under_msglog_filter():
     def prep(sim, machine, job):
-        job.transport.recovery_filter = lambda env: True
+        job.transport.set_delivery_hook(lambda ctx, env: True, "msglog")
     results, _t, job = _run_auto(prep)
     assert results == [10] * 4
     expect_fallback(job, "msglog")

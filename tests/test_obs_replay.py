@@ -9,11 +9,14 @@ invalidating their measurements.
 """
 
 import numpy as np
+import pytest
 
+from repro.apps.synthetic import bsp_app, expected_bsp_state
 from repro.cluster import Machine
 from repro.cluster.failures import TraceInjector
 from repro.cluster.spec import SIERRA
 from repro.fmi import FmiConfig, FmiJob
+from repro.net.faults import LinkFaultModel
 from repro.obs import MetricsRegistry, Tracer, dumps_jsonl, read_jsonl, write_jsonl
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
@@ -110,3 +113,60 @@ def test_jsonl_roundtrip(tmp_path):
         assert orig.args == loaded.args
     # Re-serialising the loaded events reproduces the file bytes.
     assert dumps_jsonl(back) == dumps_jsonl(tracer)
+
+
+# ------------------------------------------- log-based planes, both paths
+def run_plane_scenario(recovery: str, lossy: bool, traced: bool):
+    """A twice-killed BSP job on one log-based recovery plane, optionally on
+    lossy links, with or without a tracer attached."""
+    sim = Simulator()
+    machine = Machine(sim, SIERRA.with_nodes(10), RngRegistry(SEED))
+    if traced:
+        Tracer(sim)
+    job = FmiJob(
+        machine, bsp_app(6, work_s=0.25), num_ranks=8, procs_per_node=2,
+        config=FmiConfig(interval=1, xor_group_size=4, spare_nodes=2,
+                         recovery=recovery),
+    )
+    done = job.launch()
+    if lossy:
+        job.transport.set_faults(LinkFaultModel(
+            RngRegistry(SEED).stream("omission"),
+            drop_p=0.05, dup_p=0.05, delay_p=0.05,
+        ))
+    # Slots 0 and 2 hold leads on either plane.  The logged plane
+    # replays logs into each restart, and the second restart re-sends
+    # messages survivors already consumed; the replicated plane
+    # promotes a replica each time.
+    slots = job.fmirun.node_slots
+    second = 2.2 if recovery == "logged" else 2.0  # before the job ends
+    kills = [(1.6, [slots[0].id]), (second, [slots[2].id])]
+    TraceInjector(sim, kills, kill=machine.fail_nodes).start()
+    results = sim.run(until=done)
+    return sim, job, results
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["clean", "lossy"])
+@pytest.mark.parametrize("recovery", ["logged", "replicated"])
+def test_traced_and_untraced_plane_runs_agree(recovery, lossy):
+    """Every arrival goes through one delivery function, so attaching a
+    tracer must not change what the planes' hook suppresses."""
+    runs = [run_plane_scenario(recovery, lossy, traced)
+            for traced in (False, True)]
+    (sim_off, job_off, res_off), (sim_on, job_on, res_on) = runs
+
+    def observed(sim, job):
+        tr = job.transport
+        return (sim.now, sim.stats.events_processed, tr.replay_dup_dropped,
+                tr.replication_filtered, tr.dup_dropped)
+
+    assert observed(sim_off, job_off) == observed(sim_on, job_on)
+    assert job_off.epoch == 2
+    tr = job_off.transport
+    hook_drops = (tr.replay_dup_dropped if recovery == "logged"
+                  else tr.replication_filtered)
+    assert hook_drops > 0
+    assert (tr.dup_dropped > 0) == lossy
+    for rank, (a, b) in enumerate(zip(res_off, res_on)):
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, expected_bsp_state(rank, 8, 6))
