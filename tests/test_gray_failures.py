@@ -238,6 +238,27 @@ def test_dropped_messages_are_redelivered_after_rto():
     assert tp.omission_drops > 0
 
 
+def test_retransmitted_messages_keep_channel_order():
+    # Same source, same tag: a dropped message must not be overtaken by
+    # the ones sent after it, or receives match them out of order.
+    sim, m, tp = setup()
+    a = tp.create_context(m.node(0))
+    b = tp.create_context(m.node(1))
+    tp.set_faults(LinkFaultModel(np.random.default_rng(1), drop_p=0.5,
+                                 dup_p=0.2, delay_p=0.3))
+    n = 40
+    order = []
+    for i in range(n):
+        b.matching.post(source=0, tag=0, comm_id=0).callbacks.append(
+            lambda e: order.append(e.value.data)
+        )
+        tp.send(a, b.addr, env(0, 1, data=i))
+    sim.run()
+    assert tp.omission_drops > 0 and tp.omission_dups > 0
+    assert order == list(range(n))
+    assert tp.dup_dropped == tp.omission_dups
+
+
 def test_duplicates_are_suppressed_at_receiver():
     sim, m, tp = setup()
     a = tp.create_context(m.node(0))
