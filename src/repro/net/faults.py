@@ -9,9 +9,9 @@ much extra queueing delay the surviving copy picks up.
 Losses never translate into a hung application: the reliable layer on
 top of a lossy link retransmits on a timeout (``rto``), the way
 GASPI-style fault-tolerant runtimes make every communication call
-timeout-based rather than trusting the fabric.  Duplicates are
-suppressed by the receiver through the envelope's globally unique
-sequence number.  The model draws from one seeded RNG stream, so a
+timeout-based rather than trusting the fabric.  The transport releases
+each channel's arrivals in send order, which also marks any second copy
+of a message as a duplicate to drop.  The model draws from one seeded RNG stream, so a
 campaign replayed with the same seed loses, duplicates, and delays the
 exact same messages.
 """
