@@ -16,14 +16,68 @@ Intra-node messages bypass the NIC and move through the memory bus.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.cluster.node import Node
 from repro.cluster.spec import NetworkSpec
 from repro.simt.kernel import Event, Simulator
-from repro.simt.primitives import AllOf
 
 __all__ = ["Fabric"]
+
+
+class _InFlight:
+    """One inter-node message on its way through the fabric.
+
+    The steps run as scheduled calls, each in the queue slot the
+    per-message event it replaces used to take: sender overhead ->
+    ``tx || rx`` flows (the last of the two to finish moves on, like
+    an ``AllOf``) -> wire latency -> arrival.  The arrival schedules
+    ``on_arrival(arg)``, or succeeds ``arg`` (an :class:`Event`) when
+    there is no callback.
+    """
+
+    __slots__ = ("fabric", "src", "dst", "nbytes", "overhead",
+                 "lat_factor", "pending", "on_arrival", "arg")
+
+    def __init__(self, fabric: "Fabric", src: Node, dst: Node,
+                 nbytes: float, overhead: float, on_arrival, arg: Any):
+        self.fabric = fabric
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        self.overhead = overhead
+        # Limping endpoints stretch the per-message latencies (their
+        # NIC bandwidth is already degraded via set_limp); the wire hop
+        # pays the slower endpoint's factor.
+        self.lat_factor = max(src.limp_latency, dst.limp_latency)
+        self.pending = 2
+        self.on_arrival = on_arrival
+        self.arg = arg
+
+    def start(self) -> None:
+        """Sender overhead paid: the bytes enter both NICs at once."""
+        flow_done = _InFlight.flow_done
+        self.src.nic_tx.transfer(self.nbytes, 0.0, flow_done, self)
+        self.dst.nic_rx.transfer(self.nbytes, 0.0, flow_done, self)
+
+    def flow_done(self) -> None:
+        self.pending -= 1
+        if self.pending == 0:
+            self.fabric.sim.schedule(0.0, _InFlight.on_wire, self)
+
+    def on_wire(self) -> None:
+        fabric = self.fabric
+        fabric.sim.schedule(
+            fabric.spec.wire_latency * self.lat_factor
+            + self.overhead * self.dst.limp_latency,
+            _InFlight.landed, self,
+        )
+
+    def landed(self) -> None:
+        if self.on_arrival is not None:
+            self.fabric.sim.schedule(0.0, self.on_arrival, self.arg)
+        elif not self.arg.triggered:
+            self.arg.succeed(None)
 
 
 class Fabric:
@@ -149,7 +203,9 @@ class Fabric:
         dst: Node,
         nbytes: float,
         sw_overhead: Optional[float] = None,
-    ) -> Event:
+        on_arrival: Optional[Callable[[Any], None]] = None,
+        arg: Any = None,
+    ) -> Optional[Event]:
         """Move ``nbytes`` from ``src`` to ``dst``.
 
         Returns an event that fires (with ``None``) when the last byte
@@ -157,10 +213,18 @@ class Fabric:
         still fires -- delivery filtering is the transport layer's job
         (a dead node's matching engine no longer exists, so the bytes
         simply vanish, as on real hardware).
+
+        With ``on_arrival``, nothing is returned and ``on_arrival(arg)``
+        runs in the queue slot that event would have fired in; a down
+        source then raises :class:`ConnectionError` instead of failing
+        the event.
         """
         if not src.alive:
+            exc = ConnectionError(f"source node {src.id} is down")
+            if on_arrival is not None:
+                raise exc
             evt = Event(self.sim)
-            evt.fail(ConnectionError(f"source node {src.id} is down"))
+            evt.fail(exc)
             return evt
         overhead = self.spec.sw_overhead_fmi if sw_overhead is None else sw_overhead
         self.messages_sent += 1
@@ -168,33 +232,11 @@ class Fabric:
 
         if src is dst:
             # Shared-memory path: one pass through the memory bus, no NIC.
-            return src.mem_bw.transfer(nbytes, overhead=2 * overhead)
-
-        arrived = Event(self.sim)
-        # Limping endpoints stretch the per-message latencies (their
-        # NIC bandwidth is already degraded via set_limp); the wire hop
-        # pays the slower endpoint's factor.
-        lat_factor = max(src.limp_latency, dst.limp_latency)
-
-        def start(_evt: Event) -> None:
-            tx = src.nic_tx.transfer(nbytes)
-            rx = dst.nic_rx.transfer(nbytes)
-            both = AllOf(self.sim, [tx, rx])
-
-            def on_wire(_e: Event) -> None:
-                tail = self.sim.timeout(
-                    self.spec.wire_latency * lat_factor
-                    + overhead * dst.limp_latency
-                )
-                tail.callbacks.append(
-                    lambda _t: arrived.succeed(None)
-                    if not arrived.triggered
-                    else None
-                )
-
-            both.callbacks.append(on_wire)
-
+            return src.mem_bw.transfer(nbytes, 2 * overhead, on_arrival, arg)
+        arrived = None
+        if on_arrival is None:
+            arrived = arg = Event(self.sim)
+        msg = _InFlight(self, src, dst, nbytes, overhead, on_arrival, arg)
         # Sender-side software overhead before bytes hit the NIC.
-        head = self.sim.timeout(overhead * src.limp_latency)
-        head.callbacks.append(start)
+        self.sim.schedule(overhead * src.limp_latency, _InFlight.start, msg)
         return arrived

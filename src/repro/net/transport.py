@@ -76,6 +76,29 @@ class NetContext:
         self.transport._registry.pop(self.addr, None)
 
 
+class _Send:
+    """One message from :meth:`Transport.send` to its arrival.
+
+    ``chan``/``n`` number it on a lossy channel; ``extra`` is the
+    omission plan's retransmission and delay time, and ``dup_delay``
+    when its duplicate copy trails (None: no duplicate).
+    """
+
+    __slots__ = ("env", "src_nid", "dst_addr", "done", "chan", "n",
+                 "extra", "dup_delay")
+
+    def __init__(self, env: Envelope, src_nid: int, dst_addr: Address,
+                 done: Event):
+        self.env = env
+        self.src_nid = src_nid
+        self.dst_addr = dst_addr
+        self.done = done
+        self.chan = None
+        self.n = 0
+        self.extra = 0.0
+        self.dup_delay = None
+
+
 class Transport:
     """Message movement between :class:`NetContext` instances."""
 
@@ -240,14 +263,20 @@ class Transport:
         cannot tell -- PSM semantics).  It only fails if the *sender's*
         node is down.
         """
-        dst_node = self.machine.nodes[dst_addr[0]]
-        wire = self.machine.fabric.send(
-            src.node, dst_node, env.nbytes, sw_overhead=self.sw_overhead
-        )
+        src_nid = src.node.id
         done = Event(self.sim)
+        msg = _Send(env, src_nid, dst_addr, done)
+        try:
+            self.machine.fabric.send(
+                src.node, self.machine.nodes[dst_addr[0]], env.nbytes,
+                self.sw_overhead, self._on_wire, msg,
+            )
+        except ConnectionError as exc:
+            # Down source: the failure lands one queue hop later, where
+            # the fabric's failed event would have.
+            self.sim.schedule(0.0, self._sender_down, (msg, exc))
         tracer = self.sim.tracer
         metrics = self.sim.metrics
-        src_nid = src.node.id
         if tracer.enabled:
             tracer.instant(
                 "net.send", "net", rank=env.src, node=src_nid,
@@ -261,12 +290,9 @@ class Transport:
         # Draw this message's fault plan up front (one seeded draw per
         # message keeps replays byte-identical).
         faults = self.faults
-        plan = None
         if faults is not None:
             plan = faults.plan(src_nid, dst_addr[0])
-            if plan.clean:
-                plan = None
-            else:
+            if not plan.clean:
                 self.omission_drops += plan.drops
                 if plan.delay:
                     self.omission_delays += 1
@@ -278,49 +304,50 @@ class Transport:
                         epoch=env.epoch, dst=env.dst, drops=plan.drops,
                         delay=plan.delay, dup=plan.duplicate,
                     )
+                msg.extra = plan.drops * faults.rto + plan.delay
+                if plan.duplicate:
+                    msg.dup_delay = msg.extra + faults.dup_lag
 
-        chan = None
         if self._lossy:
             # A retransmitted message must not be overtaken by the ones
             # sent after it: release this channel's arrivals in order.
-            chan = (src.addr, dst_addr)
-            n = self._chan_sent.get(chan, 0)
+            chan = msg.chan = (src.addr, dst_addr)
+            n = msg.n = self._chan_sent.get(chan, 0)
             self._chan_sent[chan] = n + 1
-
-        def on_arrival(evt: Event) -> None:
-            if not evt._ok:
-                if not done.triggered:
-                    done.fail(evt._value)
-                if chan is not None:
-                    self._in_order(chan, n, None)  # nothing will arrive
-                return
-            if chan is None:
-                self._arrive(env, src_nid, dst_addr, done)
-                return
-            # Lossy from here on (a fault plan implies a lossy link).
-            extra = 0.0
-            if plan is not None:
-                extra = plan.drops * faults.rto + plan.delay
-            if extra > 0:
-                timer = self.sim.timeout(extra)
-                timer.callbacks.append(lambda _e: self._in_order(
-                    chan, n, (env, src_nid, dst_addr, done)))
-            else:
-                self._in_order(chan, n, (env, src_nid, dst_addr, done))
-            if plan is not None and plan.duplicate:
-                dup_timer = self.sim.timeout(extra + faults.dup_lag)
-                dup_timer.callbacks.append(lambda _e: self._in_order(
-                    chan, n, (env, src_nid, dst_addr, None)))
-
-        wire.callbacks.append(on_arrival)
         return done
 
+    def _sender_down(self, failure: tuple) -> None:
+        msg, exc = failure
+        if not msg.done.triggered:
+            msg.done.fail(exc)
+        if msg.chan is not None:
+            self._in_order((msg.chan, msg.n, None))  # nothing will arrive
+
+    def _on_wire(self, msg: "_Send") -> None:
+        """The fabric landed ``msg``'s bytes at the destination node."""
+        chan = msg.chan
+        if chan is None:
+            self._arrive(msg.env, msg.src_nid, msg.dst_addr, msg.done)
+            return
+        # Lossy from here on (a fault plan implies a lossy link).
+        args = (msg.env, msg.src_nid, msg.dst_addr, msg.done)
+        if msg.extra > 0:
+            self.sim.schedule(msg.extra, self._in_order, (chan, msg.n, args))
+        else:
+            self._in_order((chan, msg.n, args))
+        if msg.dup_delay is not None:
+            self.sim.schedule(
+                msg.dup_delay, self._in_order,
+                (chan, msg.n, args[:3] + (None,)),
+            )
+
     # -- delivery ------------------------------------------------------------
-    def _in_order(self, chan, n: int, args) -> None:
-        """Arrival ``n`` on lossy channel ``chan`` (``args`` for
+    def _in_order(self, arrival: tuple) -> None:
+        """Arrival ``(chan, n, args)`` on a lossy channel (``args`` for
         :meth:`_arrive`, None when it will never come): release it once
         every earlier send on the channel was released, holding it back
         otherwise.  Any later copy of a released send is a duplicate."""
+        chan, n, args = arrival
         nxt = self._chan_next.get(chan, 0)
         if n < nxt:
             self._arrive(*args, dup=True)
@@ -426,10 +453,12 @@ class Transport:
             self._stalled.append((env, src_nid, dst_addr, done, dup))
             return
         self.partition_retries += 1
-        timer = self.sim.timeout(self.partition_rto)
-        timer.callbacks.append(
-            lambda _e: self._arrive(env, src_nid, dst_addr, done, dup)
+        self.sim.schedule(
+            self.partition_rto, self._retry, (env, src_nid, dst_addr, done, dup)
         )
+
+    def _retry(self, args: tuple) -> None:
+        self._arrive(*args)
 
     def _on_heal(self, tag: str) -> None:
         """Flush envelopes parked at the (now healed) cut, in order."""

@@ -23,6 +23,17 @@ Hot-path notes (this is the innermost loop of every simulation):
   ``sim._cb_pool`` on construction and the dispatch loop returns it
   after the callbacks ran, so steady-state simulations allocate no
   list objects per event.
+* :meth:`Simulator.schedule` queues a bare call ``fn(arg)`` in the
+  slot an event scheduled at the same moment would take.  A pipeline
+  step that only runs one function (a message's next hop, a pipe's
+  completion timer) costs a two-slot entry instead of an event with a
+  callback list and a closure, and the order of everything else is
+  unchanged.  Scheduled calls count as processed events.
+* A bandwidth pipe keeps one completion timer armed across
+  recomputations that only move its deadline later:
+  :meth:`Simulator._reserve` takes the seq a fresh timer would have
+  had, and :meth:`Simulator._push_at` later re-enters the heap under
+  exactly that key (see :mod:`repro.simt.resources`).
 * :meth:`Event.cancel` withdraws an event that will never fire so dead
   waiters (killed processes) leave no live-looking tombstones in
   whatever queue holds them; the matching engine keys its lazy sweeps
@@ -79,7 +90,7 @@ class Event:
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_processed",
-                 "_scheduled", "_cancelled", "_cancel_cb")
+                 "_cancelled", "_cancel_cb")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -90,7 +101,6 @@ class Event:
         self._value: Any = _PENDING
         self._ok: Optional[bool] = None
         self._processed = False
-        self._scheduled = False
         self._cancelled = False
         #: single hook invoked (synchronously) on cancellation; used by
         #: queue owners (the matching engine) to sweep dead entries
@@ -286,13 +296,30 @@ class BulkCompletion(Event):
         return True
 
 
+class _Call:
+    """A scheduled call: when the kernel pops it, it runs ``fn(arg)``.
+
+    It takes the heap or immediate-queue slot an :class:`Event` would
+    have taken, and counts as one processed event, but carries no
+    value, callback list or state: a pipeline step that only needs to
+    run one function pays for two slots instead of an event.
+    """
+
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: Callable[[Any], None], arg: Any):
+        self.fn = fn
+        self.arg = arg
+
+
 class SimStats:
     """Lifetime kernel counters for one :class:`Simulator`."""
 
     __slots__ = ("events_processed", "peak_heap")
 
     def __init__(self) -> None:
-        #: event completions dispatched: heap pops plus batch events a
+        #: event completions dispatched: heap and immediate-queue pops
+        #: (events and scheduled calls) plus batch events a
         #: :class:`BulkCompletion` completed inline
         self.events_processed = 0
         #: largest number of scheduled events ever outstanding at once
@@ -308,9 +335,10 @@ class SimStats:
 class Simulator:
     """The discrete-event simulator: virtual clock plus event heap.
 
-    Heap entries are ``(time, seq, event)``; ``seq`` is a monotonically
-    increasing tiebreaker so same-time events fire in schedule order,
-    which makes the whole simulation deterministic.
+    Heap entries are ``(time, seq, entry)``, the entry an event or a
+    scheduled call; ``seq`` is a monotonically increasing tiebreaker so
+    same-time entries fire in schedule order, which makes the whole
+    simulation deterministic.
     """
 
     def __init__(self) -> None:
@@ -335,10 +363,9 @@ class Simulator:
         self.fault_injectors = 0
 
     # -- scheduling ----------------------------------------------------------
-    def _push(self, event: Event, delay: float = 0.0) -> None:
+    def _push(self, event, delay: float = 0.0) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        event._scheduled = True
         seq = self._seq = self._seq + 1
         heap = self._heap
         # Zero-delay (and float-underflow) schedules take the O(1)
@@ -355,6 +382,42 @@ class Simulator:
         stats = self.stats
         if depth > stats.peak_heap:
             stats.peak_heap = depth
+
+    def schedule(self, delay: float, fn: Callable[[Any], None],
+                 arg: Any = None) -> None:
+        """Run ``fn(arg)`` after ``delay`` simulated seconds.
+
+        The call takes the same queue slot (time and seq) as an event
+        scheduled with the same delay at the same moment, so replacing
+        a ``Timeout`` whose only callback does the work with a
+        scheduled call leaves the order of every event unchanged.
+        """
+        self._push(_Call(fn, arg), delay)
+
+    def _reserve(self) -> int:
+        """Take the seq the next push would get, without pushing.
+
+        A timer kept armed past its slot reserves the key a fresh timer
+        would have taken here, and later re-enters the heap under it
+        with :meth:`_push_at`; every other entry keeps its seq.
+        """
+        seq = self._seq = self._seq + 1
+        return seq
+
+    def _push_at(self, time: float, seq: int, fn: Callable[[Any], None],
+                 arg: Any = None) -> None:
+        """Schedule ``fn(arg)`` under a key from :meth:`_reserve`.
+
+        ``time`` must lie in the future: an entry at ``now`` would
+        drain before immediate-queue entries with smaller seqs.  The
+        depth is not re-checked against ``peak_heap``; the caller
+        re-pushes an entry that just popped.
+        """
+        if not time > self.now:
+            raise SimulationError(
+                f"reserved-key push at t={time} is not in the future"
+            )
+        heappush(self._heap, (time, seq, _Call(fn, arg)))
 
     def event(self) -> Event:
         """Create a fresh untriggered event."""
@@ -390,7 +453,10 @@ class Simulator:
                 )
             self.now = time
         self.stats.events_processed += 1
-        event._run_callbacks()
+        if event.__class__ is _Call:
+            event.fn(event.arg)
+        else:
+            event._run_callbacks()
 
     def peek(self) -> float:
         """Time of the next event, or ``inf`` if nothing is scheduled."""
@@ -418,6 +484,7 @@ class Simulator:
         pop = heappop
         popleft = nowq.popleft
         cb_pool = self._cb_pool
+        call_cls = _Call
         n = 0
         try:
             while heap or nowq:
@@ -434,15 +501,18 @@ class Simulator:
                         break
                     time, _seq, event = pop(heap)
                     self.now = time
-                event._processed = True
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks is not None:
-                    for cb in callbacks:
-                        cb(event)
-                    if len(cb_pool) < _CB_POOL_MAX:
-                        callbacks.clear()
-                        cb_pool.append(callbacks)
+                if event.__class__ is call_cls:
+                    event.fn(event.arg)
+                else:
+                    event._processed = True
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    if callbacks is not None:
+                        for cb in callbacks:
+                            cb(event)
+                        if len(cb_pool) < _CB_POOL_MAX:
+                            callbacks.clear()
+                            cb_pool.append(callbacks)
                 n += 1
                 if max_events is not None and n >= max_events:
                     # The budget is a livelock tripwire, not a hard

@@ -98,12 +98,33 @@ class Resource:
 
 
 class _Flow:
-    __slots__ = ("remaining", "event", "nbytes")
+    """One transfer in a pipe.  It completes by succeeding ``arg``
+    (an :class:`Event`) when ``fn`` is None, else by scheduling
+    ``fn(arg)`` in the slot the event's completion would have taken."""
 
-    def __init__(self, nbytes: float, event: Event):
+    __slots__ = ("remaining", "nbytes", "fn", "arg")
+
+    def __init__(self, nbytes: float, fn, arg):
         self.nbytes = nbytes
         self.remaining = float(nbytes)
-        self.event = event
+        self.fn = fn
+        self.arg = arg
+
+
+class _Timer:
+    """A pipe's completion timer and the key it fires under.
+
+    ``deadline``/``seq`` is where the timer must finally pop.  A
+    reschedule that only moves the deadline later updates them (with a
+    reserved seq) instead of pushing a second timer; the heap entry
+    then pops early and re-enters the heap under this key.
+    """
+
+    __slots__ = ("deadline", "seq")
+
+    def __init__(self, deadline: float):
+        self.deadline = deadline
+        self.seq = 0  # set when a later deadline reserves a key
 
 
 class BandwidthResource:
@@ -118,6 +139,16 @@ class BandwidthResource:
     A per-flow fixed ``overhead`` (seconds) models per-operation setup
     cost (e.g. per-message software latency) and is added *before* the
     bytes start moving.
+
+    The pipe keeps at most one live completion timer.  When a
+    recomputation moves the deadline later (a burst of flow starts at
+    one instant), the armed timer stays in the heap; it reserves the
+    seq a fresh timer would have taken, and when it pops early it
+    re-enters the heap at the exact new deadline under that key.  A
+    deadline that moves earlier, or stays equal, gets a fresh timer as
+    it always did, and the superseded one pops as a no-op.  Every event
+    therefore fires at the same time and in the same order as with a
+    fresh timer per recomputation.
     """
 
     #: bytes below this are considered finished (float-noise guard)
@@ -131,22 +162,31 @@ class BandwidthResource:
         self.name = name
         self._flows: List[_Flow] = []
         self._last = sim.now
-        self._timer_gen = 0  # invalidates stale completion timers
+        #: the live completion timer (None while no flow is active)
+        self._timer: Optional[_Timer] = None
         #: cumulative bytes fully transferred (for utilization stats)
         self.bytes_done: float = 0.0
 
     # -- public ----------------------------------------------------------------
-    def transfer(self, nbytes: float, overhead: float = 0.0) -> Event:
-        """Move ``nbytes`` through the pipe; event fires at completion."""
+    def transfer(self, nbytes: float, overhead: float = 0.0,
+                 on_done=None, arg: Any = None) -> Optional[Event]:
+        """Move ``nbytes`` through the pipe.
+
+        Returns an event that fires at completion, or, when ``on_done``
+        is given, returns None and schedules ``on_done(arg)`` in the
+        slot that event would have taken.
+        """
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        done = Event(self.sim)
+        done = None
+        if on_done is None:
+            done = arg = Event(self.sim)
         if overhead > 0:
             # Charge the fixed overhead first, then enter the shared pipe.
-            t = self.sim.timeout(overhead)
-            t.callbacks.append(lambda _e: self._start(nbytes, done))
+            self.sim.schedule(overhead, self._start_after_overhead,
+                              (nbytes, on_done, arg))
         else:
-            self._start(nbytes, done)
+            self._start(nbytes, on_done, arg)
         return done
 
     @property
@@ -172,16 +212,22 @@ class BandwidthResource:
         return nbytes / self.capacity
 
     # -- internals ----------------------------------------------------------------
-    def _start(self, nbytes: float, done: Event) -> None:
-        if done.callbacks is None:
+    def _start_after_overhead(self, args: tuple) -> None:
+        self._start(*args)
+
+    def _start(self, nbytes: float, fn, arg) -> None:
+        if fn is None and arg.callbacks is None:
             return  # receiver abandoned before start (e.g. killed)
         self._advance()
         if nbytes <= self._EPS:
             self.bytes_done += nbytes
-            done.succeed(None)
+            if fn is None:
+                arg.succeed(None)
+            else:
+                self.sim.schedule(0.0, fn, arg)
             self._reschedule()
             return
-        self._flows.append(_Flow(nbytes, done))
+        self._flows.append(_Flow(nbytes, fn, arg))
         self._reschedule()
 
     def _rate(self) -> float:
@@ -197,22 +243,44 @@ class BandwidthResource:
         self._last = now
 
     def _reschedule(self) -> None:
-        self._timer_gen += 1
         flows = self._flows
         if not flows:
+            self._timer = None
             return
-        gen = self._timer_gen
         if len(flows) == 1:  # uncontended pipe: skip the scan
             min_remaining = flows[0].remaining
         else:
             min_remaining = min(f.remaining for f in flows)
         dt = max(min_remaining, 0.0) / self._rate()
-        timer = self.sim.timeout(dt)
-        timer.callbacks.append(lambda _e: self._on_timer(gen))
+        sim = self.sim
+        deadline = sim.now + dt
+        timer = self._timer
+        if timer is not None and deadline > timer.deadline:
+            # Later deadline: keep the armed timer, under the key a
+            # fresh one would have taken.
+            timer.deadline = deadline
+            timer.seq = sim._reserve()
+            return
+        # Earlier, equal or due now: a fresh timer, as every
+        # recomputation had.  An equal deadline is not re-keyed: the
+        # armed entry may already sit at that time under its older
+        # seq, and would fire there.
+        timer = self._timer = _Timer(deadline)
+        sim.schedule(dt, self._on_timer, timer)
 
-    def _on_timer(self, gen: int) -> None:
-        if gen != self._timer_gen:
+    def _on_timer(self, timer: _Timer) -> None:
+        sim = self.sim
+        if sim.now < timer.deadline:
+            # Popped at an earlier deadline: move to the final key
+            # without touching the flows, so progress is applied in
+            # one step at the real deadline.  A superseded timer moves
+            # too: its no-op pop there leaves a drained run's clock
+            # where a fresh timer per recomputation left it.
+            sim._push_at(timer.deadline, timer.seq, self._on_timer, timer)
+            return
+        if timer is not self._timer:
             return  # superseded by a newer flow set
+        self._timer = None
         self._advance()
         finished = [f for f in self._flows if f.remaining <= self._EPS]
         if not finished:
@@ -225,6 +293,9 @@ class BandwidthResource:
         self._flows = [f for f in self._flows if id(f) not in done_set]
         for flow in finished:
             self.bytes_done += flow.nbytes
-            if flow.event.callbacks is not None and not flow.event.triggered:
-                flow.event.succeed(None)
+            fn = flow.fn
+            if fn is not None:
+                sim.schedule(0.0, fn, flow.arg)
+            elif flow.arg.callbacks is not None and not flow.arg.triggered:
+                flow.arg.succeed(None)
         self._reschedule()

@@ -137,6 +137,40 @@ def test_fabric_send_from_dead_node_fails():
     assert isinstance(done.value, ConnectionError)
 
 
+def _arrivals(use_callback, pairs):
+    """Arrival (time, events processed) per message, sent in order."""
+    sim, m = make_machine(4)
+    got = {}
+
+    def record(i):
+        got[i] = (sim.now, sim.stats.events_processed)
+
+    for i, (a, b, nbytes) in enumerate(pairs):
+        if use_callback:
+            m.fabric.send(m.node(a), m.node(b), nbytes, None, record, i)
+        else:
+            done = m.fabric.send(m.node(a), m.node(b), nbytes)
+            done.callbacks.append(lambda _e, i=i: record(i))
+    sim.run()
+    return got, sim.stats.events_processed
+
+
+def test_fabric_callback_lands_in_the_event_slot():
+    # Contended, uncontended, empty and intra-node messages: a callback
+    # runs exactly where (and after as many events as) the event fires.
+    pairs = [(0, 3, 1e6), (1, 3, 2e6), (2, 3, 1e6), (0, 1, 0.0),
+             (2, 2, 5e5), (1, 0, 3e6)]
+    assert _arrivals(True, pairs) == _arrivals(False, pairs)
+
+
+def test_fabric_callback_send_from_dead_node_raises():
+    sim, m = make_machine()
+    m.node(0).crash()
+    with pytest.raises(ConnectionError):
+        m.fabric.send(m.node(0), m.node(1), 10.0, None, print, None)
+    assert m.fabric.messages_sent == 0
+
+
 def test_fabric_counters():
     sim, m = make_machine()
     m.fabric.send(m.node(0), m.node(1), 100.0)

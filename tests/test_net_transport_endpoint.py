@@ -46,6 +46,19 @@ def test_send_to_dead_node_drops_silently():
     assert b.matching.delivered == 0
 
 
+def test_send_from_dead_node_fails_the_send():
+    sim, m, tp = setup()
+    a = tp.create_context(m.node(0), "a")
+    b = tp.create_context(m.node(1), "b")
+    m.node(0).crash()
+    done = tp.send(a, b.addr, env(0, 1, data="x"))
+    sim.run()
+    assert not done.ok
+    assert isinstance(done.value, ConnectionError)
+    assert m.fabric.messages_sent == 0
+    assert b.matching.delivered == 0
+
+
 def test_send_to_closed_context_drops():
     sim, m, tp = setup()
     a = tp.create_context(m.node(0))

@@ -329,3 +329,75 @@ def test_bulk_completion_resumes_waiting_processes():
     BulkCompletion(sim, 0.5, [(e, i) for i, e in enumerate(events)])
     sim.run()
     assert got == [(0.5, 0), (0.5, 1), (0.5, 2)]
+
+
+# ------------------------------------------------------ scheduled calls
+def test_scheduled_calls_interleave_with_events_on_the_heap():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, fired.append, "call-1")
+    t = sim.timeout(1.0)
+    t.callbacks.append(lambda _e: fired.append("event"))
+    sim.schedule(1.0, fired.append, "call-2")
+    sim.run()
+    assert fired == ["call-1", "event", "call-2"]
+    assert sim.now == 1.0
+
+
+def test_scheduled_calls_interleave_with_events_on_the_immediate_queue():
+    sim = Simulator()
+    fired = []
+
+    def at_one(_arg):
+        # A heap entry already due at t=1 predates everything pushed
+        # now, whether it is an event or a call.
+        e = sim.event()
+        e.callbacks.append(lambda _e: fired.append("event-now"))
+        sim.schedule(0.0, fired.append, "call-now")
+        e.succeed()
+        sim.schedule(0.0, fired.append, "call-after")
+
+    sim.schedule(1.0, at_one)
+    late = sim.timeout(1.0)
+    late.callbacks.append(lambda _e: fired.append("heap-at-one"))
+    sim.run()
+    assert fired == ["heap-at-one", "call-now", "event-now", "call-after"]
+
+
+def test_scheduled_calls_count_step_and_max_events():
+    sim = Simulator()
+    fired = []
+    for i in range(3):
+        sim.schedule(0.5 * i, fired.append, i)
+    sim.step()
+    assert fired == [0] and sim.stats.events_processed == 1
+    sim.step()
+    assert fired == [0, 1] and sim.now == 0.5
+    sim.run()
+    assert sim.stats.events_processed == 3
+
+    def again(_arg):
+        sim.schedule(0.0, again)
+
+    sim.schedule(0.0, again)
+    with pytest.raises(SimulationError, match="max_events"):
+        sim.run(max_events=10)
+    assert sim.stats.events_processed == 13
+
+
+def test_reserved_key_sorts_like_a_fresh_push_at_reservation_time():
+    sim = Simulator()
+    fired = []
+    sim.schedule(2.0, fired.append, "before")
+    seq = sim._reserve()
+    sim.schedule(2.0, fired.append, "after")
+    sim.schedule(1.0, lambda _a: sim._push_at(2.0, seq, fired.append, "reserved"))
+    sim.run()
+    assert fired == ["before", "reserved", "after"]
+
+
+def test_reserved_key_push_must_lie_in_the_future():
+    sim = Simulator()
+    seq = sim._reserve()
+    with pytest.raises(SimulationError):
+        sim._push_at(0.0, seq, print)

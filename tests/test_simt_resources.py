@@ -249,6 +249,127 @@ def test_bandwidth_many_flows_aggregate_time():
     assert all(e.processed for e in events)
 
 
+# ------------------------------------------- one completion timer per pipe
+def _depth(sim):
+    return len(sim._heap) + len(sim._nowq)
+
+
+def test_bandwidth_burst_leaves_one_live_timer():
+    sim = Simulator()
+    bw = BandwidthResource(sim, capacity=100.0)
+    n = 8
+    sizes = [10.0 * (i + 1) for i in range(n)]
+    ends = []
+    for size in sizes:
+        done = bw.transfer(size)
+        done.callbacks.append(lambda _e, size=size: ends.append((size, sim.now)))
+    # Every start moved the deadline later: one timer in the heap.
+    assert _depth(sim) == 1
+    sim.run()
+    # Processor sharing: the j-th smallest flow ends after the gaps
+    # below it drained at capacity / (flows still active).
+    expected, t, prev = [], 0.0, 0.0
+    for j, size in enumerate(sizes):
+        t += (n - j) * (size - prev) / 100.0
+        prev = size
+        expected.append((size, pytest.approx(t)))
+    assert ends == expected
+    # One early pop, one timer per completion, one event per flow.
+    assert sim.stats.events_processed == 2 * n + 1
+
+
+def _completion_order(sim, **events):
+    order = []
+    for name, evt in events.items():
+        evt.callbacks.append(lambda _e, name=name: order.append((name, sim.now)))
+    sim.run()
+    return order
+
+
+def test_bandwidth_same_instant_completions_follow_last_reschedule():
+    # a's timer is pushed before b's, but a's deadline moves later
+    # after b's push: a fires after b, as a fresh timer would.
+    sim = Simulator()
+    a = BandwidthResource(sim, capacity=100.0, name="a")
+    b = BandwidthResource(sim, capacity=100.0, name="b")
+    a1 = a.transfer(50.0)  # a's timer armed for t=0.5
+    b1 = b.transfer(100.0)  # b's timer for t=1.0
+    a2 = a.transfer(50.0)  # a shared: its deadline moves to t=1.0
+    assert _completion_order(sim, a1=a1, b1=b1, a2=a2) == [
+        ("b1", 1.0), ("a1", 1.0), ("a2", 1.0)]
+    # a's deadline moves later *before* b's push: a keeps its place
+    # ahead of b even though its timer re-enters the heap after b's.
+    sim = Simulator()
+    a = BandwidthResource(sim, capacity=100.0, name="a")
+    b = BandwidthResource(sim, capacity=100.0, name="b")
+    a1 = a.transfer(50.0)
+    a2 = a.transfer(50.0)
+    b1 = b.transfer(100.0)
+    assert _completion_order(sim, a1=a1, b1=b1, a2=a2) == [
+        ("a1", 1.0), ("a2", 1.0), ("b1", 1.0)]
+
+
+def test_bandwidth_equal_deadline_takes_a_fresh_timer():
+    # An empty flow recomputes a's unchanged deadline after b's push;
+    # a fresh timer (not the armed one) decides the order.
+    sim = Simulator()
+    a = BandwidthResource(sim, capacity=100.0, name="a")
+    b = BandwidthResource(sim, capacity=100.0, name="b")
+    a1 = a.transfer(100.0)
+    b1 = b.transfer(100.0)
+    a.transfer(0.0)
+    assert _completion_order(sim, a1=a1, b1=b1) == [("b1", 1.0), ("a1", 1.0)]
+
+
+def test_bandwidth_set_capacity_down_then_up_with_a_timer_armed():
+    sim = Simulator()
+    bw = BandwidthResource(sim, capacity=100.0)
+    done = bw.transfer(100.0)  # deadline t=1.0
+    # t=0.25: 75 B left at 50 B/s -> deadline moves later, to t=1.75.
+    sim.schedule(0.25, lambda _a: bw.set_capacity(50.0))
+    # t=0.5: 62.5 B left at 250 B/s -> deadline moves earlier, to t=0.75.
+    sim.schedule(0.5, lambda _a: bw.set_capacity(250.0))
+    sim.run(until=done)
+    assert sim.now == pytest.approx(0.75)
+    assert bw.bytes_done == 100.0 and bw.active_flows == 0
+    # The superseded timer still pops at its last deadline, so a drained
+    # run leaves the clock where a fresh timer per reschedule did.
+    sim.run()
+    assert sim.now == 1.75
+
+
+def test_bandwidth_float_residue_completes_at_deadline_after_early_fire():
+    sim = Simulator()
+    bw = BandwidthResource(sim, capacity=1e9)
+    big = 32e9 + 1
+    first = bw.transfer(big)  # timer armed for big / 1e9
+    second = bw.transfer(40e9)  # shared: the deadline moves later
+    deadline = big / (1e9 / 2)
+    # Progress applied in one step at the deadline leaves more float
+    # residue than the epsilon, so completion takes the fallback.
+    assert big - deadline * (1e9 / 2) > BandwidthResource._EPS
+    sim.run(until=first)
+    assert sim.now == deadline
+    assert not second.triggered
+    # The early pop, the timer at the deadline, the completion.
+    assert sim.stats.events_processed == 3
+    # The early pop applied no progress: the survivor's came in the
+    # same single step at the deadline.
+    (survivor,) = bw._flows
+    assert survivor.remaining == 40e9 - deadline * (1e9 / 2)
+
+
+def test_bandwidth_transfer_to_callback():
+    sim = Simulator()
+    bw = BandwidthResource(sim, capacity=100.0)
+    got = []
+    assert bw.transfer(100.0, 0.5, got.append, "done") is None
+    assert bw.transfer(0.0, 0.0, got.append, "empty") is None
+    sim.run()
+    assert got == ["empty", "done"]
+    assert sim.now == pytest.approx(1.5)
+
+
 # ---------------------------------------------------------------- AllOf/AnyOf
 def test_allof_collects_values_in_order():
     sim = Simulator()
