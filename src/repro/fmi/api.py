@@ -75,19 +75,18 @@ class FmiContext(ParallelApi):
         return self.fmi_job.addr_table[world_rank]
 
     def _stamp(self, env, dst_world: int) -> None:
-        plane = self.fmi_job.recovery_plane
-        if plane is not None:
-            plane.on_send(self.world_rank, dst_world, env, self.ctx)
+        self.fmi_job.recovery_plane.on_send(
+            self.world_rank, dst_world, env, self.ctx
+        )
 
     def _post_recv(self, comm: Communicator, source: int, tag: int):
-        plane = self.fmi_job.recovery_plane
-        if plane is not None and (
-            source == self.ANY_SOURCE or tag == self.ANY_TAG
-        ):
+        if source == self.ANY_SOURCE or tag == self.ANY_TAG:
             # Wildcards replay recorded determinants: a restarted rank
             # its own pre-failure match order (logged), a follower copy
             # its lead's (replicated).  None means post natively.
-            evt = plane.post_wildcard(self, source, tag, comm.id)
+            evt = self.fmi_job.recovery_plane.post_wildcard(
+                self, source, tag, comm.id
+            )
             if evt is not None:
                 return evt
         return super()._post_recv(comm, source, tag)
@@ -132,15 +131,7 @@ class FmiContext(ParallelApi):
         plane = self.fmi_job.recovery_plane
         if rs.restore_pending:
             rs.restore_pending = False
-            if plane is not None:
-                # Partial rollback: sidecar rebuild + log replay; no
-                # world agreement, survivors never enter this branch.
-                restored = yield from plane.partial_restore(self)
-            else:
-                restored = yield from self.engine.restore(
-                    world_agree=self._agree_min,
-                    allow_beyond_xor=self.l2store is not None,
-                )
+            restored = yield from plane.restore(self)
             if restored == "beyond-xor":
                 restored = yield from self._restore_from_level2()
             if restored is not None:
@@ -166,14 +157,12 @@ class FmiContext(ParallelApi):
         if want:
             t0 = self.now
             payloads = [self._as_payload(c, i, nbytes) for i, c in enumerate(ckpts)]
-            if plane is not None:
-                plane.note_ckpt_begin(self.world_rank, rs.loop_id, self.ctx)
+            plane.note_ckpt_begin(self.world_rank, rs.loop_id, self.ctx)
             meta = yield from self.engine.checkpoint(payloads, dataset_id=rs.loop_id)
             rs.policy.record_checkpoint(self.now, self.now - t0)
             rs.last_ckpt_loop = rs.loop_id
             self.fmi_job.checkpoints_done += 1
-            if plane is not None:
-                plane.note_rank_checkpoint(self.world_rank, rs.loop_id, self.ctx)
+            plane.note_rank_checkpoint(self.world_rank, rs.loop_id, self.ctx)
             if (
                 self.l2store is not None
                 and rs.loop_id >= self.fmi_job.next_l2_at

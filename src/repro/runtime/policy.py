@@ -6,8 +6,13 @@ job down and the job event fails with
 machinery behind FMI's fmirun master (Figure 6): pre-reserved spares,
 per-node task monitoring, the recovery-epoch bump, replacement-node
 acquisition, and graceful drain.  Both operate purely through the
-:class:`~repro.runtime.core.JobBase` blackboard, so a new strategy
-(process replication, partial restart...) is one subclass.
+:class:`~repro.runtime.core.JobBase` blackboard.
+
+Which ranks roll back and whether a replica fails over instead is not
+decided here: :class:`Survivable`'s recovery hooks (``try_failover``,
+``num_copies``, the slot and notification geometry) default to global
+rollback, and the FMI stack forwards them to the job's one recovery
+family object (:mod:`repro.fmi.recovery`).
 """
 
 from __future__ import annotations
@@ -20,100 +25,7 @@ from repro.runtime.core import JobAborted, JobBase, RankProcess
 from repro.simt.kernel import Event
 from repro.simt.process import ProcessKilled
 
-__all__ = [
-    "FaultPolicy", "FailStop", "Survivable",
-    "RecoveryStrategy", "GlobalRollback", "PartialRollback",
-    "ReplicatedFailover",
-]
-
-
-class RecoveryStrategy:
-    """How a :class:`Survivable` job gets its ranks computing again.
-
-    Orthogonal to the :class:`~repro.fmi.redundancy.RedundancyScheme`
-    (what state survives) and to detection (who hears about a death):
-    this seam decides *which* ranks roll back and how the restarted
-    ones are re-admitted.  Selected per job via
-    ``FmiConfig(recovery=...)``.
-    """
-
-    #: config name this strategy answers to
-    name = "global"
-    #: whether a failure notification unwinds *every* rank to H1 (the
-    #: global rollback) or only the ranks that actually restarted
-    unwind_survivors = True
-    #: scope of the H1/H2 re-admission rendezvous: "world" gathers all
-    #: unfinished ranks; "slot" gathers only the restarted slot's
-    rendezvous_scope = "world"
-
-    def absorb_notification(self, rproc, generation: int) -> bool:
-        """True if ``rproc`` should record this failure notification
-        without acting on it (no unwind to H1)."""
-        return False
-
-    def try_failover(self, policy: "Survivable", cause: str) -> bool:
-        """Attempt to recover without any rollback at all (promote a
-        live replica in place).  Returns True when the failure was
-        absorbed by failover -- the policy then skips the rank
-        notifications and the safety sweep entirely; survivors never
-        learn a failure happened.  Rollback-based strategies always
-        return False."""
-        return False
-
-
-class GlobalRollback(RecoveryStrategy):
-    """The paper's behaviour (and the default): every rank unwinds to
-    H1, re-rendezvouses world-wide, and restores the last coordinated
-    checkpoint."""
-
-
-class PartialRollback(RecoveryStrategy):
-    """Message-logging recovery (``recovery="logged"``): survivors keep
-    computing; only the restarted slot re-bootstraps, restores via a
-    sidecar group rebuild, and catches up from the sender-based logs in
-    :class:`~repro.fmi.msglog.RecoveryPlane`."""
-
-    name = "logged"
-    unwind_survivors = False
-    rendezvous_scope = "slot"
-
-    def __init__(self, plane):
-        self.plane = plane
-
-    def absorb_notification(self, rproc, generation: int) -> bool:
-        # Survivors absorb: their state is never rolled back, and the
-        # lseq dedup (not the epoch filter) guards their channels.  A
-        # rank caught *mid-restore* must unwind and retry, though: its
-        # sidecar rebuild ensemble may include the newly dead node.
-        return rproc.rank not in self.plane.recovering
-
-
-class ReplicatedFailover(RecoveryStrategy):
-    """Dual-modular redundancy (``recovery="replicated"``): every
-    virtual rank is backed by ``replication_degree`` live processes.
-    A copy's death is absorbed by promoting a surviving copy in place
-    (:meth:`try_failover`); nobody rolls back, nobody even leaves H3.
-    Only when *all* copies of some rank die inside the re-arm window
-    does the plane fall back to an ordinary global C/R restore."""
-
-    name = "replicated"
-    unwind_survivors = False
-    rendezvous_scope = "world"
-
-    def __init__(self, plane):
-        self.plane = plane
-
-    def absorb_notification(self, rproc, generation: int) -> bool:
-        # Failover epochs are invisible: every copy absorbs.  Only the
-        # fallback epoch (some rank lost every copy) unwinds to H1.
-        return generation != self.plane.fallback_epoch
-
-    def try_failover(self, policy: "Survivable", cause: str) -> bool:
-        return self.plane.try_failover(policy, cause)
-
-
-#: shared default instance (stateless)
-GLOBAL_ROLLBACK = GlobalRollback()
+__all__ = ["FaultPolicy", "FailStop", "Survivable"]
 
 
 class FaultPolicy:
@@ -259,13 +171,6 @@ class Survivable(FaultPolicy):
     def node_of_rank(self, rank: int) -> Node:
         return self.node_slots[self.job.slot_of_rank(rank)]
 
-    @property
-    def recovery_strategy(self) -> RecoveryStrategy:
-        """The job's recovery strategy (the seam the message-logging
-        plane mounts on); :class:`GlobalRollback` unless the job says
-        otherwise."""
-        return getattr(self.job, "recovery_strategy", GLOBAL_ROLLBACK)
-
     # -- per-node task factory (stack-specific) ------------------------------
     def make_task(self, slot: int, node: Node):
         raise NotImplementedError
@@ -324,7 +229,7 @@ class Survivable(FaultPolicy):
         self._last_bump_time = self.sim.now
         job.epoch += 1
         job.recovery_causes.append((self.sim.now, cause))
-        failover = self.recovery_strategy.try_failover(self, cause)
+        failover = self.try_failover(cause)
         if not failover:
             # In-flight macro collective instances are dead timelines
             # now: every rank will unwind to H1 and replay the
@@ -364,6 +269,14 @@ class Survivable(FaultPolicy):
             sweep = self.sim.timeout(1.0)
             target = job.epoch
             sweep.callbacks.append(lambda _e: self._sweep(target))
+
+    # -- recovery hooks (defaults: global rollback) ---------------------------
+    def try_failover(self, cause: str) -> bool:
+        """Attempt to recover without any rollback (promote a live
+        replica in place).  True = absorbed: the rank notifications and
+        the safety sweep are skipped, and survivors never learn a
+        failure happened."""
+        return False
 
     def _notify_targets(self):
         """Processes a recovery must reach (replication widens this to

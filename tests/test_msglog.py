@@ -309,10 +309,13 @@ def test_logged_survivors_never_restore():
     assert check_no_orphans(tracer) == []
 
 
-def test_global_mode_attaches_no_plane():
-    job, _tracer, _results = run_bsp("global")
-    assert job.recovery_plane is None
+def test_global_mode_installs_no_delivery_hook():
+    job, tracer, _results = run_bsp("global", kill_node=1, trace=True)
+    assert job.recovery_plane.kind == "global"
     assert job.transport.delivery_hook is None
+    # Nothing stamps a channel sequence: no delivery carries an lseq.
+    recvs = [ev for ev in tracer.events if ev.name == "net.recv"]
+    assert recvs and not any("lseq" in ev.args for ev in recvs)
 
 
 # ------------------------------------------- overlapping kills in a group
