@@ -400,11 +400,13 @@ def check_link_accounting(job) -> List[Violation]:
     """No lost or fabricated messages at the gray-failure layer."""
     out: List[Violation] = []
     transport = job.transport
-    if transport._stalled and not job.machine.fabric.partitioned:
+    if (transport.partition_mode == "stall" and transport._parked
+            and not job.machine.fabric.partitioned):
+        # (a drop-mode channel waits up to one retransmission timeout)
         out.append(Violation(
             "link-accounting",
-            f"{len(transport._stalled)} message(s) still parked at a "
-            f"partition cut although the fabric is healed",
+            f"{sum(map(len, transport._parked.values()))} message(s) "
+            f"still parked at a partition cut although the fabric is healed",
         ))
     if transport.dup_dropped > transport.omission_dups:
         out.append(Violation(
