@@ -9,8 +9,7 @@ two jobs:
   sequence and assert identical match order, FIFO non-overtaking and
   counter values (``tests/test_matching_conformance.py``);
 * **perf baseline** -- ``benchmarks/bench_engine_throughput.py``
-  measures the indexed engine's speedup against it, and
-  ``REPRO_MATCHING=reference`` runs any simulation on it end to end.
+  measures the indexed engine's speedup against it.
 
 It must keep the exact observable semantics of the indexed engine; do
 not optimise it.
