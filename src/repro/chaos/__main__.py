@@ -5,6 +5,7 @@ failing (campaign, seed) pair, and replays any pair deterministically::
 
     python -m repro.chaos --campaign all --seeds 25
     python -m repro.chaos --campaign spare-exhaustion --seed-list 3,7,11
+    python -m repro.chaos --campaign logged --seed-list 0,1,2,3,4
     python -m repro.chaos --replay kill-during-recovery:7 --trace-out t.jsonl
     python -m repro.chaos --list
 
@@ -21,6 +22,7 @@ from typing import List
 
 from repro.chaos.campaigns import CAMPAIGNS
 from repro.chaos.runner import RunResult, run_campaign
+from repro.fmi.config import RECOVERY_MODES
 
 
 def _parse_args(argv):
@@ -30,7 +32,8 @@ def _parse_args(argv):
     )
     parser.add_argument(
         "--campaign", default="all",
-        help="campaign name, comma-separated names, or 'all' (default)",
+        help="campaign name, comma-separated names, a recovery family "
+             "(every campaign running it, e.g. 'logged'), or 'all' (default)",
     )
     parser.add_argument(
         "--seeds", type=int, default=10,
@@ -55,9 +58,13 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
-def _campaign_names(spec: str) -> List[str]:
+def campaign_names(spec: str) -> List[str]:
+    """The campaigns a ``--campaign`` argument selects."""
     if spec == "all":
         return list(CAMPAIGNS)
+    if spec in RECOVERY_MODES:
+        return [name for name, c in CAMPAIGNS.items()
+                if c.make_config().recovery == spec]
     names = [n.strip() for n in spec.split(",") if n.strip()]
     for name in names:
         if name not in CAMPAIGNS:
@@ -113,7 +120,7 @@ def main(argv=None) -> int:
     if args.replay:
         return _replay(args.replay, args.trace_out, args.verbose)
 
-    names = _campaign_names(args.campaign)
+    names = campaign_names(args.campaign)
     if args.seed_list:
         seeds = [int(s) for s in args.seed_list.split(",") if s.strip()]
     else:

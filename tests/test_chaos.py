@@ -427,3 +427,19 @@ def test_gray_campaign_trace_replays_byte_identical(name, tmp_path):
 def test_unknown_campaign_rejected():
     with pytest.raises(KeyError, match="unknown campaign"):
         run_campaign("no-such-campaign", seed=0)
+
+
+def test_family_selector_picks_every_campaign_of_the_family():
+    from repro.chaos.__main__ import campaign_names
+
+    assert campaign_names("logged") == [
+        "logged-single-kill", "logged-sequential-kills",
+        "logged-spare-exhaustion",
+    ]
+    assert campaign_names("replicated") == [
+        "replicated-single-kill", "replicated-kill-both-copies",
+        "replicated-lossy-links",
+    ]
+    assert campaign_names("lossy-links,limping-node") == [
+        "lossy-links", "limping-node",
+    ]
